@@ -6,10 +6,12 @@ policies included) and one fault-matrix cell (WCET overruns + stuck
 speed transitions under a governed policy, misses allowed) through
 ``sweep()`` with the compiled core forced off and forced on — serially
 and on the parallel executor — and fails unless every cell fingerprint
-matches bit for bit.  The compiled-on runs are instrumented through
-``fastcore.RUN_COUNTS`` to prove the C core actually executed (a gate
-that silently fell back to the interpreted loop twice would compare
-the interpreter against itself and pass vacuously).
+matches bit for bit.  The EXP-F1 cell runs every policy in
+``DEFAULT_POLICIES``.  The compiled-on runs are instrumented through
+``fastcore.RUN_COUNTS`` to prove the C core actually executed and that
+its native decision kernels took decisions (a gate that silently fell
+back to the interpreted loop, or to the Python policy callbacks, would
+compare Python against itself and pass vacuously).
 
 When the extension is missing the gate first tries to build it in
 place (``REPRO_COMPILE=1 setup.py build_ext --inplace``); without a C
@@ -36,7 +38,6 @@ XS = (0.3, 0.7, 0.9)
 FM_XS = (1.3,)
 N_TASKSETS = 4
 HORIZON = 600.0
-POLICIES = ("none", "static", "ccEDF", "lpSTA", "lpSEH")
 FM_POLICIES = ("ccEDF", "lpSEH", "lpSTA")
 
 
@@ -59,10 +60,15 @@ def ensure_extension() -> str:
         return "no-toolchain"
     importlib.invalidate_caches()
     try:
-        import repro.sim._fastcore  # noqa: F401
-        return "built"
+        ext = importlib.import_module("repro.sim._fastcore")
     except ImportError:
         return "no-toolchain"
+    # The failed probe above imported repro.sim.fastcore before the
+    # build existed, so it recorded the extension as absent; hand it
+    # the fresh build or every "compiled" leg would run interpreted.
+    from repro.sim import fastcore
+    fastcore._EXT = ext
+    return "built"
 
 
 def fingerprint(cells) -> str:
@@ -84,6 +90,7 @@ def main() -> int:
     if status == "built":
         print("compiled gate: built repro.sim._fastcore in place")
 
+    from repro.experiments.config import DEFAULT_POLICIES
     from repro.experiments.parallel import fork_available, shutdown_pool
     from repro.experiments.runner import bcwc_model, standard_taskset, sweep
     from repro.faults import FaultPlan
@@ -111,7 +118,7 @@ def main() -> int:
         kwargs = {"n_tasksets": N_TASKSETS, "horizon": HORIZON}
         if workers:
             kwargs["workers"] = workers
-        return sweep(XS, workload, POLICIES, **kwargs)
+        return sweep(XS, workload, DEFAULT_POLICIES, **kwargs)
 
     def faultmatrix(workers: int | None = None):
         kwargs = {"n_tasksets": N_TASKSETS, "horizon": HORIZON,
@@ -122,9 +129,10 @@ def main() -> int:
         return sweep(FM_XS, fm_workload, FM_POLICIES, **kwargs)
 
     def run_mode(compiled: bool, leg, workers: int | None = None) -> tuple:
-        """One sweep leg under a forced backend; returns (fp, runs)."""
+        """One sweep leg under a forced backend; returns (fp, runs,
+        native decisions) — the counts cover this process only."""
         os.environ["REPRO_COMPILED"] = "1" if compiled else "0"
-        before = fastcore.RUN_COUNTS["compiled"]
+        before = dict(fastcore.RUN_COUNTS)
         try:
             fp = fingerprint(leg(workers))
         finally:
@@ -133,7 +141,9 @@ def main() -> int:
                 # The warm pool snapshots env at fork: never reuse a
                 # pool across backend flips.
                 shutdown_pool()
-        return fp, fastcore.RUN_COUNTS["compiled"] - before
+        return (fp, fastcore.RUN_COUNTS["compiled"] - before["compiled"],
+                fastcore.RUN_COUNTS["native_decisions"]
+                - before["native_decisions"])
 
     failures = []
 
@@ -143,31 +153,35 @@ def main() -> int:
         if not ok:
             failures.append(label)
 
-    interp_fp, interp_runs = run_mode(False, exp1)
-    compiled_fp, compiled_runs = run_mode(True, exp1)
-    check("interpreted leg stayed interpreted", interp_runs == 0,
-          f"{interp_runs} compiled run(s) under REPRO_COMPILED=0")
+    interp_fp, interp_runs, interp_native = run_mode(False, exp1)
+    compiled_fp, compiled_runs, native = run_mode(True, exp1)
+    check("interpreted leg stayed interpreted",
+          interp_runs == 0 and interp_native == 0,
+          f"{interp_runs} compiled run(s), {interp_native} native "
+          f"decision(s) under REPRO_COMPILED=0")
     check("compiled core engaged", compiled_runs > 0,
           "0 compiled runs despite the extension being importable")
+    check("native decision kernels engaged", native > 0,
+          "0 native decisions: every policy called back into Python")
     check("EXP-F1 cell byte-identical", compiled_fp == interp_fp,
           f"{compiled_fp} != {interp_fp}")
 
-    fm_interp_fp, _ = run_mode(False, faultmatrix)
-    fm_compiled_fp, fm_runs = run_mode(True, faultmatrix)
+    fm_interp_fp, _, _ = run_mode(False, faultmatrix)
+    fm_compiled_fp, fm_runs, _ = run_mode(True, faultmatrix)
     check("fault-matrix compiled core engaged", fm_runs > 0)
     check("fault-matrix cell byte-identical",
           fm_compiled_fp == fm_interp_fp,
           f"{fm_compiled_fp} != {fm_interp_fp}")
 
     if fork_available():
-        par_interp_fp, _ = run_mode(False, exp1, workers=2)
-        par_compiled_fp, _ = run_mode(True, exp1, workers=2)
+        par_interp_fp, _, _ = run_mode(False, exp1, workers=2)
+        par_compiled_fp, _, _ = run_mode(True, exp1, workers=2)
         check("parallel interpreted byte-identical",
               par_interp_fp == interp_fp)
         check("parallel compiled byte-identical",
               par_compiled_fp == interp_fp,
               f"{par_compiled_fp} != {interp_fp}")
-        fm_par_fp, _ = run_mode(True, faultmatrix, workers=2)
+        fm_par_fp, _, _ = run_mode(True, faultmatrix, workers=2)
         check("parallel fault-matrix byte-identical",
               fm_par_fp == fm_interp_fp,
               f"{fm_par_fp} != {fm_interp_fp}")
@@ -176,8 +190,8 @@ def main() -> int:
         print(f"compiled gate: {len(failures)} contract(s) broken")
         return 1
     print(f"compiled gate: {compiled_runs + fm_runs} compiled run(s), "
-          f"fingerprints equal (serial and parallel, plain and "
-          f"fault-injected)")
+          f"{native} native decision(s), fingerprints equal (serial and "
+          f"parallel, plain and fault-injected)")
     return 0
 
 

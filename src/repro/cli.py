@@ -360,7 +360,10 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
         print(f"compiled core:  {info['backend']} — {state}")
         print(f"                runs this process: "
               f"{info['runs']['compiled']} compiled, "
-              f"{info['runs']['interpreted']} interpreted")
+              f"{info['runs']['interpreted']} interpreted, "
+              f"{info['runs']['native_decisions']} native decisions")
+        print(f"                native decision kernels: "
+              f"{', '.join(info['native_kernels'])}")
     else:
         print("compiled core:  not built — interpreted engine only")
         print("                (build with: REPRO_COMPILE=1 pip "

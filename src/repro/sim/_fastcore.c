@@ -12,6 +12,14 @@
  * to repro.sim.fastcore helpers so string formatting and exception
  * types never fork from the Python implementation.
  *
+ * The one exception to "policies stay Python" is the native decision
+ * kernels: for an exactly-typed clairvoyant, feedback, laEDF or lpSEH
+ * policy, repro.sim.fastcore passes the policy's bind-time constants
+ * and the core computes select_speed from its job slots, reproducing
+ * the Python policy's float operations in order.  They live in this
+ * file because setup.py and the benchmark build compile exactly this
+ * one file; an #included second file would leave a stale build.
+ *
  * CoreEngine exposes the same private attribute surface SimContext
  * reads from Simulator (_now, _active, _next_release, ...), so the
  * existing SimContext class wraps it unchanged and policies observe
@@ -136,9 +144,97 @@ seq_as_longs(PyObject *seq, Py_ssize_t *out_n)
     return arr;
 }
 
+/* Python's two-argument max()/min(): the first argument wins ties. */
+static inline double
+py_max(double a, double b)
+{
+    return (b > a) ? b : a;
+}
+
+static inline double
+py_min(double a, double b)
+{
+    return (b < a) ? b : a;
+}
+
+/* ------------------------------------------------------------------ */
+/* slack walk internals (shared by the module functions and kernels)   */
+/* ------------------------------------------------------------------ */
+
+typedef struct {
+    double d;
+    Py_ssize_t idx;
+    double w;
+} SlackEvent;
+
+static int
+event_cmp(const void *pa, const void *pb)
+{
+    const SlackEvent *a = pa, *b = pb;
+    if (a->d < b->d)
+        return -1;
+    if (a->d > b->d)
+        return 1;
+    /* stable: original construction order breaks ties */
+    return (a->idx < b->idx) ? -1 : (a->idx > b->idx) ? 1 : 0;
+}
+
+/* The heuristic slack walk.  Candidates: active deadlines, d_first,
+ * releases >= d_first (duplicates harmless: identical g).  Demand
+ * accumulation order is actives in state order, then tasks in task
+ * order — matching the interpreted loop bit for bit. */
+static double
+heuristic_walk(double t, double d_first, const double *ad, const double *aw,
+               Py_ssize_t n_active, const double *rel, const double *util,
+               const double *corr, Py_ssize_t n_tasks)
+{
+    double best = INFINITY;
+    Py_ssize_t n_cand = n_active + 1 + n_tasks;
+    for (Py_ssize_t c = 0; c < n_cand; c++) {
+        double d_k;
+        if (c < n_active)
+            d_k = ad[c];
+        else if (c == n_active)
+            d_k = d_first;
+        else {
+            d_k = rel[c - n_active - 1];
+            if (!(d_k >= d_first))
+                continue;   /* release candidates require >= d_first */
+        }
+        if (d_k < d_first - 1e-12)
+            continue;
+        double cfence = d_k + 1e-12;
+        double total = 0.0;
+        for (Py_ssize_t j = 0; j < n_active; j++) {
+            if (ad[j] <= cfence)
+                total += aw[j];
+        }
+        for (Py_ssize_t j = 0; j < n_tasks; j++) {
+            double headroom = d_k - rel[j];
+            if (headroom > 0.0)
+                total += util[j] * headroom + corr[j];
+        }
+        double g = d_k - t - total;
+        if (g < best)
+            best = g;
+    }
+    return (best > 0.0) ? best : 0.0;
+}
+
 /* ------------------------------------------------------------------ */
 /* CoreEngine                                                          */
 /* ------------------------------------------------------------------ */
+
+/* Native decision kernels: the policies whose select_speed the core
+ * computes from its job slots instead of calling back into Python.
+ * K_PYTHON keeps the callback. */
+enum { K_PYTHON = 0, K_LPSEH, K_FEEDBACK, K_LAEDF, K_CLAIRVOYANT };
+
+/* Feedback's per-task _PidState, flattened in task order. */
+enum { PID_PREDICTION, PID_INTEGRAL, PID_LAST_ERROR, PID_N };
+
+static const char *const KERNEL_NAMES[] = {
+    "", "lpSEH", "feedback", "laEDF", "clairvoyant", NULL};
 
 typedef struct {
     PyObject *job;      /* strong ref */
@@ -220,7 +316,26 @@ typedef struct {
     /* speed_time: chronological first-occurrence accumulation */
     double *spd_exact, *spd_dur;
     PyObject **spd_key;     /* strong refs: round(speed, 12) floats */
+    Py_ssize_t *spd_slot;   /* entry owning this speed's rounded key */
     Py_ssize_t n_spd, cap_spd;
+
+    /* native decision kernel and its bind-time constants */
+    int kernel;
+    long native_decisions, analysis_calls;
+    double k_min_speed, k_baseline;
+    double *k_util, *k_corr;    /* task columns in the reference base */
+    double *k_util1, *k_corr1;  /* task columns at full speed */
+    double k_u_total;           /* laEDF: sum of task utilizations */
+    double k_kp, k_ki, k_kd;    /* feedback: PID gains */
+    double *pid;                /* feedback: PID_N values per task */
+    double k_cap, k_max_period; /* clairvoyant: analysis window */
+    double **cv_dl, **cv_w;     /* clairvoyant: (deadline, work) streams */
+    Py_ssize_t *cv_n, *cv_cap;
+    /* per-decision scratch; k_ad/k_aw/k_order grow with `active` */
+    double *k_ad, *k_aw;
+    Py_ssize_t *k_order;
+    SlackEvent *k_ev;
+    Py_ssize_t k_cap_ev;
 } CoreEngine;
 
 static void
@@ -259,8 +374,21 @@ CoreEngine_dealloc(CoreEngine *self)
     PyMem_Free(self->st_preempt); PyMem_Free(self->st_exec);
     PyMem_Free(self->st_resp); PyMem_Free(self->st_maxresp);
     PyMem_Free(self->spd_exact); PyMem_Free(self->spd_dur);
-    PyMem_Free(self->spd_key);
+    PyMem_Free(self->spd_key); PyMem_Free(self->spd_slot);
     PyMem_Free((void *)self->q_levels);
+    PyMem_Free(self->k_util); PyMem_Free(self->k_corr);
+    PyMem_Free(self->k_util1); PyMem_Free(self->k_corr1);
+    PyMem_Free(self->pid);
+    if (self->cv_dl != NULL && self->cv_w != NULL) {
+        for (Py_ssize_t i = 0; i < self->n_tasks; i++) {
+            PyMem_Free(self->cv_dl[i]);
+            PyMem_Free(self->cv_w[i]);
+        }
+    }
+    PyMem_Free(self->cv_dl); PyMem_Free(self->cv_w);
+    PyMem_Free(self->cv_n); PyMem_Free(self->cv_cap);
+    PyMem_Free(self->k_ad); PyMem_Free(self->k_aw);
+    PyMem_Free(self->k_order); PyMem_Free(self->k_ev);
     Py_TYPE(self)->tp_free((PyObject *)self);
 }
 
@@ -297,6 +425,89 @@ ns_get_int(PyObject *ns, const char *name, int *out)
     if (v == -1 && PyErr_Occurred())
         return -1;
     *out = (int)v;
+    return 0;
+}
+
+/* A namespace float sequence of exactly `want` items (fresh array). */
+static double *
+ns_get_doubles(PyObject *ns, const char *name, Py_ssize_t want)
+{
+    PyObject *seq = PyObject_GetAttrString(ns, name);
+    if (seq == NULL)
+        return NULL;
+    Py_ssize_t n = 0;
+    double *arr = seq_as_doubles(seq, &n);
+    Py_DECREF(seq);
+    if (arr != NULL && n != want) {
+        PyErr_Format(PyExc_ValueError, "%s: expected %zd values, got %zd",
+                     name, want, n);
+        PyMem_Free(arr);
+        return NULL;
+    }
+    return arr;
+}
+
+/* Select the decision kernel named by ns.kernel ("" keeps the Python
+ * callback) and read its bind-time constants
+ * (repro.sim.fastcore._kernel_fields). */
+static int
+ce_init_kernel(CoreEngine *self, PyObject *ns)
+{
+    PyObject *name = PyObject_GetAttrString(ns, "kernel");
+    if (name == NULL)
+        return -1;
+    int kernel = -1;
+    if (PyUnicode_Check(name)) {
+        for (int k = 0; KERNEL_NAMES[k] != NULL; k++) {
+            if (PyUnicode_CompareWithASCIIString(name, KERNEL_NAMES[k]) == 0) {
+                kernel = k;
+                break;
+            }
+        }
+    }
+    if (kernel < 0) {
+        PyErr_Format(PyExc_ValueError, "unknown decision kernel %R", name);
+        Py_DECREF(name);
+        return -1;
+    }
+    Py_DECREF(name);
+    self->kernel = kernel;
+    if (kernel == K_PYTHON)
+        return 0;
+
+    Py_ssize_t n = self->n_tasks;
+    size_t nn = (size_t)(n > 0 ? n : 1);
+    double *gains;
+    if (ns_get_double(ns, "k_min_speed", &self->k_min_speed) < 0 ||
+        ns_get_double(ns, "k_baseline", &self->k_baseline) < 0 ||
+        ns_get_double(ns, "k_u_total", &self->k_u_total) < 0 ||
+        ns_get_double(ns, "k_cap", &self->k_cap) < 0 ||
+        ns_get_double(ns, "k_max_period", &self->k_max_period) < 0 ||
+        (self->k_util = ns_get_doubles(ns, "k_util", n)) == NULL ||
+        (self->k_corr = ns_get_doubles(ns, "k_corr", n)) == NULL ||
+        (self->k_util1 = ns_get_doubles(ns, "k_util1", n)) == NULL ||
+        (self->k_corr1 = ns_get_doubles(ns, "k_corr1", n)) == NULL ||
+        (gains = ns_get_doubles(ns, "k_gains", 3)) == NULL)
+        return -1;
+    self->k_kp = gains[0];
+    self->k_ki = gains[1];
+    self->k_kd = gains[2];
+    PyMem_Free(gains);
+
+    if (kernel == K_FEEDBACK &&
+        (self->pid = ns_get_doubles(ns, "k_pid", PID_N * n)) == NULL)
+        return -1;
+    if (kernel == K_CLAIRVOYANT) {
+        self->cv_dl = PyMem_Calloc(nn, sizeof(double *));
+        self->cv_w = PyMem_Calloc(nn, sizeof(double *));
+        self->cv_n = PyMem_Calloc(nn, sizeof(Py_ssize_t));
+        self->cv_cap = PyMem_Calloc(nn, sizeof(Py_ssize_t));
+        if (self->cv_dl == NULL || self->cv_w == NULL ||
+            self->cv_n == NULL || self->cv_cap == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+    }
     return 0;
 }
 
@@ -397,12 +608,19 @@ CoreEngine_init(CoreEngine *self, PyObject *args, PyObject *kwds)
 
     self->cap_active = 16;
     self->active = PyMem_Malloc((size_t)self->cap_active * sizeof(JobSlot));
+    self->k_ad = PyMem_Malloc((size_t)self->cap_active * sizeof(double));
+    self->k_aw = PyMem_Malloc((size_t)self->cap_active * sizeof(double));
+    self->k_order = PyMem_Malloc((size_t)self->cap_active
+                                 * sizeof(Py_ssize_t));
     self->cap_spd = 8;
     self->spd_exact = PyMem_Malloc((size_t)self->cap_spd * sizeof(double));
     self->spd_dur = PyMem_Malloc((size_t)self->cap_spd * sizeof(double));
     self->spd_key = PyMem_Malloc((size_t)self->cap_spd * sizeof(PyObject *));
-    if (self->active == NULL || self->spd_exact == NULL ||
-        self->spd_dur == NULL || self->spd_key == NULL) {
+    self->spd_slot = PyMem_Malloc((size_t)self->cap_spd * sizeof(Py_ssize_t));
+    if (self->active == NULL || self->k_ad == NULL || self->k_aw == NULL ||
+        self->k_order == NULL || self->spd_exact == NULL ||
+        self->spd_dur == NULL || self->spd_key == NULL ||
+        self->spd_slot == NULL) {
         PyErr_NoMemory();
         return -1;
     }
@@ -414,7 +632,7 @@ CoreEngine_init(CoreEngine *self, PyObject *args, PyObject *kwds)
     self->switch_attempts = 0;
     self->last_running = NULL;
     self->ctx = NULL;
-    return 0;
+    return ce_init_kernel(self, ns);
 }
 
 /* ------------------------------------------------------------------ */
@@ -524,15 +742,25 @@ static int
 ce_active_append(CoreEngine *e, JobSlot slot)
 {
     if (e->n_active == e->cap_active) {
-        Py_ssize_t cap = e->cap_active * 2;
-        JobSlot *grown = PyMem_Realloc(e->active,
-                                       (size_t)cap * sizeof(JobSlot));
-        if (grown == NULL) {
+        size_t cap = (size_t)e->cap_active * 2;
+        JobSlot *grown = PyMem_Realloc(e->active, cap * sizeof(JobSlot));
+        if (grown != NULL)
+            e->active = grown;
+        double *ad = PyMem_Realloc(e->k_ad, cap * sizeof(double));
+        if (ad != NULL)
+            e->k_ad = ad;
+        double *aw = PyMem_Realloc(e->k_aw, cap * sizeof(double));
+        if (aw != NULL)
+            e->k_aw = aw;
+        Py_ssize_t *order = PyMem_Realloc(e->k_order,
+                                          cap * sizeof(Py_ssize_t));
+        if (order != NULL)
+            e->k_order = order;
+        if (grown == NULL || ad == NULL || aw == NULL || order == NULL) {
             PyErr_NoMemory();
             return -1;
         }
-        e->active = grown;
-        e->cap_active = cap;
+        e->cap_active = (Py_ssize_t)cap;
     }
     e->active[e->n_active++] = slot;
     return 0;
@@ -650,11 +878,13 @@ ce_process_releases(CoreEngine *e)
             }
             Py_DECREF(nrobj);
             e->release_version++;
-            PyObject *r = PyObject_CallFunctionObjArgs(
-                e->m_on_release, job, e->ctx, NULL);
-            if (r == NULL)
-                return -1;
-            Py_DECREF(r);
+            if (e->m_on_release != Py_None) {   /* None: kernel-owned */
+                PyObject *r = PyObject_CallFunctionObjArgs(
+                    e->m_on_release, job, e->ctx, NULL);
+                if (r == NULL)
+                    return -1;
+                Py_DECREF(r);
+            }
         }
     }
     return ce_check_misses(e);
@@ -821,12 +1051,18 @@ ce_handle_empty(CoreEngine *e)
     return ce_sleep_until(e, wake);
 }
 
+/* result.speed_time[round(speed, 12)] += duration.  Durations add up
+ * per rounded key in chronological order, exactly like the dict update
+ * in Simulator._dispatch; spd_exact caches each exact speed seen with
+ * spd_slot naming the entry that owns its key (the first exact speed
+ * that rounded to it). */
 static int
 ce_speed_time_add(CoreEngine *e, double speed, double duration)
 {
     for (Py_ssize_t i = 0; i < e->n_spd; i++) {
         if (e->spd_exact[i] == speed) {
-            e->spd_dur[i] += duration;
+            Py_ssize_t owner = e->spd_slot[i];
+            e->spd_dur[owner] += duration;
             return 0;
         }
     }
@@ -837,44 +1073,60 @@ ce_speed_time_add(CoreEngine *e, double speed, double duration)
     Py_DECREF(s);
     if (key == NULL)
         return -1;
+    double kv = PyFloat_AsDouble(key);
+    if (kv == -1.0 && PyErr_Occurred()) {
+        Py_DECREF(key);
+        return -1;
+    }
     if (e->n_spd == e->cap_spd) {
-        Py_ssize_t cap = e->cap_spd * 2;
-        double *ex = PyMem_Realloc(e->spd_exact,
-                                   (size_t)cap * sizeof(double));
-        double *du = PyMem_Realloc(ex ? e->spd_dur : NULL,
-                                   (size_t)cap * sizeof(double));
-        PyObject **ke = PyMem_Realloc(du ? e->spd_key : NULL,
-                                      (size_t)cap * sizeof(PyObject *));
+        size_t cap = (size_t)e->cap_spd * 2;
+        double *ex = PyMem_Realloc(e->spd_exact, cap * sizeof(double));
         if (ex != NULL)
             e->spd_exact = ex;
+        double *du = PyMem_Realloc(e->spd_dur, cap * sizeof(double));
         if (du != NULL)
             e->spd_dur = du;
+        PyObject **ke = PyMem_Realloc(e->spd_key, cap * sizeof(PyObject *));
         if (ke != NULL)
             e->spd_key = ke;
-        if (ex == NULL || du == NULL || ke == NULL) {
+        Py_ssize_t *sl = PyMem_Realloc(e->spd_slot, cap * sizeof(Py_ssize_t));
+        if (sl != NULL)
+            e->spd_slot = sl;
+        if (ex == NULL || du == NULL || ke == NULL || sl == NULL) {
             Py_DECREF(key);
             PyErr_NoMemory();
             return -1;
         }
-        e->cap_spd = cap;
+        e->cap_spd = (Py_ssize_t)cap;
     }
-    e->spd_exact[e->n_spd] = speed;
-    e->spd_dur[e->n_spd] = duration;
-    e->spd_key[e->n_spd] = key;    /* steal */
-    e->n_spd++;
+    Py_ssize_t i = e->n_spd++;
+    Py_ssize_t owner = i;
+    for (Py_ssize_t j = 0; j < i; j++) {
+        if (e->spd_slot[j] == j
+            && PyFloat_AS_DOUBLE(e->spd_key[j]) == kv) {
+            owner = j;
+            break;
+        }
+    }
+    e->spd_exact[i] = speed;
+    e->spd_key[i] = key;    /* steal */
+    e->spd_slot[i] = owner;
+    e->spd_dur[i] = 0.0;
+    e->spd_dur[owner] += duration;  /* speed_time.get(key, 0.0) + dt */
     return 0;
 }
 
+/* A policy's desired speed as a double; None and NaN raise the
+ * interpreted engine's PolicyError. */
 static int
-ce_apply_speed(CoreEngine *e, PyObject *desired, double *out)
+ce_desired_value(CoreEngine *e, PyObject *desired, double *d)
 {
-    double d = 0.0;
     int invalid = (desired == Py_None);
     if (!invalid) {
-        d = PyFloat_AsDouble(desired);
-        if (d == -1.0 && PyErr_Occurred())
+        *d = PyFloat_AsDouble(desired);
+        if (*d == -1.0 && PyErr_Occurred())
             return -1;
-        invalid = isnan(d);
+        invalid = isnan(*d);
     }
     if (invalid) {
         PyObject *r = PyObject_CallFunctionObjArgs(
@@ -882,6 +1134,12 @@ ce_apply_speed(CoreEngine *e, PyObject *desired, double *out)
         Py_XDECREF(r);
         return -1;
     }
+    return 0;
+}
+
+static int
+ce_apply_speed(CoreEngine *e, double d, double *out)
+{
     double speed;
     if (ce_quantize(e, d, &speed) < 0)
         return -1;
@@ -1006,6 +1264,290 @@ ce_apply_speed(CoreEngine *e, PyObject *desired, double *out)
     return 0;
 }
 
+/* ------------------------------------------------------------------ */
+/* native decision kernels                                             */
+/*                                                                     */
+/* Each kernel is its policy's select_speed (repro.policies.*) over    */
+/* the job slots, with the same float operations in the same order.   */
+/* ------------------------------------------------------------------ */
+
+/* job.remaining_wcet: max(0.0, snap_nonnegative(wcet - executed)) */
+static inline double
+slot_rem_wcet(const CoreEngine *e, const JobSlot *s)
+{
+    return py_max(0.0, snap_nonneg(e->t_wcet[s->task] - s->executed));
+}
+
+/* heuristic_slack(ctx.slack_state(baseline_speed=baseline, ...)): the
+ * active budgets in the reference base, against the task columns of
+ * the same base. */
+static double
+ce_heuristic_slack(CoreEngine *e, double baseline, const double *util,
+                   const double *corr)
+{
+    double d_first = e->active[0].deadline;
+    for (Py_ssize_t i = 0; i < e->n_active; i++) {
+        e->k_ad[i] = e->active[i].deadline;
+        e->k_aw[i] = slot_rem_wcet(e, &e->active[i]) / baseline;
+        if (e->k_ad[i] < d_first)
+            d_first = e->k_ad[i];
+    }
+    return heuristic_walk(e->now, d_first, e->k_ad, e->k_aw, e->n_active,
+                          e->next_release, util, corr, e->n_tasks);
+}
+
+/* LpSehPolicy.select_speed */
+static double
+kernel_lpseh(CoreEngine *e, const JobSlot *job)
+{
+    double remaining = slot_rem_wcet(e, job);
+    if (remaining <= 1e-12)
+        return e->current_speed;
+    e->analysis_calls++;
+    double slack = ce_heuristic_slack(e, e->k_baseline, e->k_util,
+                                      e->k_corr);
+    /* allotted_speed(remaining, baseline, slack, min_speed) */
+    double allotment = remaining / e->k_baseline + slack;
+    return py_min(1.0, py_max(e->k_min_speed, remaining / allotment));
+}
+
+/* FeedbackDvsPolicy.select_speed */
+static double
+kernel_feedback(CoreEngine *e, const JobSlot *job)
+{
+    double remaining = slot_rem_wcet(e, job);
+    if (remaining <= 1e-12)
+        return e->current_speed;
+    double predicted = e->pid[PID_N * job->task + PID_PREDICTION];
+    double w_hat = py_min(remaining,
+                          py_max(1e-9, predicted - job->executed));
+    double slack_scaled = ce_heuristic_slack(e, e->k_baseline, e->k_util,
+                                             e->k_corr);
+    double optimistic = w_hat / (w_hat / e->k_baseline + slack_scaled);
+    double slack_full = ce_heuristic_slack(e, 1.0, e->k_util1, e->k_corr1);
+    double required = remaining / (remaining + slack_full);
+    return py_min(1.0, py_max(py_max(optimistic, required),
+                              e->k_min_speed));
+}
+
+/* FeedbackDvsPolicy.on_completion; a completed job executed its work. */
+static void
+kernel_feedback_complete(CoreEngine *e, const JobSlot *job)
+{
+    double *state = &e->pid[PID_N * job->task];
+    double wcet = e->t_wcet[job->task];
+    double error = job->work - state[PID_PREDICTION];
+    state[PID_INTEGRAL] += error;
+    double derivative = error - state[PID_LAST_ERROR];
+    state[PID_LAST_ERROR] = error;
+    state[PID_PREDICTION] += (e->k_kp * error
+                              + e->k_ki * state[PID_INTEGRAL])
+                             + e->k_kd * derivative;
+    state[PID_PREDICTION] = py_min(
+        wcet, py_max(1e-3 * wcet, state[PID_PREDICTION]));
+}
+
+/* LaEdfPolicy.select_speed (safe=True) */
+static double
+kernel_laedf(CoreEngine *e, const JobSlot *job)
+{
+    double t = e->now;
+    double d_n = e->active[0].deadline;
+    for (Py_ssize_t i = 1; i < e->n_active; i++)
+        if (e->active[i].deadline < d_n)
+            d_n = e->active[i].deadline;
+    double horizon = d_n - t;
+    double speed;
+    if (horizon <= 1e-12) {
+        speed = 1.0;
+    }
+    else {
+        /* deferral_speed: visit from the latest deadline backwards; a
+         * stable insertion sort keeps equal deadlines in slot order,
+         * like sort(reverse=True). */
+        Py_ssize_t *order = e->k_order;
+        for (Py_ssize_t i = 0; i < e->n_active; i++) {
+            Py_ssize_t j = i;
+            while (j > 0 && e->active[order[j - 1]].deadline
+                            < e->active[i].deadline) {
+                order[j] = order[j - 1];
+                j--;
+            }
+            order[j] = i;
+        }
+        double u = e->k_u_total;
+        double s = 0.0;
+        for (Py_ssize_t i = 0; i < e->n_active; i++) {
+            const JobSlot *a = &e->active[order[i]];
+            double c_left = slot_rem_wcet(e, a);
+            double x;
+            u -= e->k_util1[a->task];
+            double span = a->deadline - d_n;
+            if (span > 1e-12) {
+                x = py_max(0.0, c_left - (1.0 - u) * span);
+                u += (c_left - x) / span;
+            }
+            else {
+                x = c_left;
+            }
+            s += x;
+        }
+        speed = s / horizon;
+    }
+    double remaining = slot_rem_wcet(e, job);
+    if (remaining > 1e-12) {
+        double slack = ce_heuristic_slack(e, 1.0, e->k_util1, e->k_corr1);
+        speed = py_max(speed, remaining / (remaining + slack));
+    }
+    return py_max(e->k_min_speed, py_min(1.0, speed));
+}
+
+/* Extend task i's memoised (deadline, work) stream past `fence`, one
+ * arrival_time and one execution_model.work call per job, in the
+ * order ClairvoyantPolicy._task_events makes them. */
+static int
+cv_extend(CoreEngine *e, Py_ssize_t i, double fence)
+{
+    PyObject *task = PyTuple_GET_ITEM(e->tasks, i);
+    Py_ssize_t n = e->cv_n[i];
+    while (n == 0 || e->cv_dl[i][n - 1] <= fence) {
+        if (n == e->cv_cap[i]) {
+            Py_ssize_t cap = n > 0 ? 2 * n : 16;
+            double *dl = PyMem_Realloc(e->cv_dl[i],
+                                       (size_t)cap * sizeof(double));
+            if (dl != NULL)
+                e->cv_dl[i] = dl;
+            double *w = PyMem_Realloc(e->cv_w[i],
+                                      (size_t)cap * sizeof(double));
+            if (w != NULL)
+                e->cv_w[i] = w;
+            if (dl == NULL || w == NULL) {
+                PyErr_NoMemory();
+                return -1;
+            }
+            e->cv_cap[i] = cap;
+        }
+        PyObject *k = PyLong_FromSsize_t(n);
+        if (k == NULL)
+            return -1;
+        PyObject *arr = PyObject_CallFunctionObjArgs(e->m_arrival, task, k,
+                                                     NULL);
+        double arrival = arr == NULL ? -1.0 : PyFloat_AsDouble(arr);
+        Py_XDECREF(arr);
+        if (arrival == -1.0 && PyErr_Occurred()) {
+            Py_DECREF(k);
+            return -1;
+        }
+        PyObject *wobj = PyObject_CallFunctionObjArgs(e->m_work, task, k,
+                                                      NULL);
+        Py_DECREF(k);
+        double work = wobj == NULL ? -1.0 : PyFloat_AsDouble(wobj);
+        Py_XDECREF(wobj);
+        if (work == -1.0 && PyErr_Occurred())
+            return -1;
+        e->cv_dl[i][n] = arrival + e->t_rel_deadline[i];
+        e->cv_w[i][n] = work;
+        e->cv_n[i] = ++n;
+    }
+    return 0;
+}
+
+static int
+ce_push_event(CoreEngine *e, Py_ssize_t *n, double d, double w)
+{
+    if (*n == e->k_cap_ev) {
+        Py_ssize_t cap = e->k_cap_ev > 0 ? 2 * e->k_cap_ev : 64;
+        SlackEvent *ev = PyMem_Realloc(e->k_ev,
+                                       (size_t)cap * sizeof(SlackEvent));
+        if (ev == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        e->k_ev = ev;
+        e->k_cap_ev = cap;
+    }
+    e->k_ev[*n].d = d;
+    e->k_ev[*n].idx = *n;
+    e->k_ev[*n].w = w;
+    (*n)++;
+    return 0;
+}
+
+/* ClairvoyantPolicy.select_speed: max(min_speed, min(1.0, intensity)) */
+static int
+kernel_clairvoyant(CoreEngine *e, double *out)
+{
+    double t = e->now;
+    double latest = e->active[0].deadline;
+    for (Py_ssize_t i = 1; i < e->n_active; i++)
+        if (e->active[i].deadline > latest)
+            latest = e->active[i].deadline;
+    double window_end = py_min(
+        e->horizon, py_max(latest, t + e->k_cap * e->k_max_period));
+    double fence = window_end + 1e-12;
+
+    Py_ssize_t n = 0;
+    for (Py_ssize_t i = 0; i < e->n_active; i++) {
+        const JobSlot *a = &e->active[i];
+        if (ce_push_event(e, &n, a->deadline,
+                          snap_nonneg(a->work - a->executed)) < 0)
+            return -1;
+    }
+    for (Py_ssize_t i = 0; i < e->n_tasks; i++) {
+        if (cv_extend(e, i, fence) < 0)
+            return -1;
+        const double *dl = e->cv_dl[i];
+        /* bisect_right(deadlines, fence) */
+        Py_ssize_t lo = 0, hi = e->cv_n[i];
+        while (lo < hi) {
+            Py_ssize_t mid = (lo + hi) / 2;
+            if (fence < dl[mid])
+                hi = mid;
+            else
+                lo = mid + 1;
+        }
+        for (Py_ssize_t k = e->next_index[i]; k < lo; k++)
+            if (ce_push_event(e, &n, dl[k], e->cv_w[i][k]) < 0)
+                return -1;
+    }
+    qsort(e->k_ev, (size_t)n, sizeof(SlackEvent), event_cmp);
+
+    double best = 0.0, h = 0.0;
+    Py_ssize_t i = 0;
+    while (i < n) {
+        double d_k = e->k_ev[i].d;
+        while (i < n && e->k_ev[i].d <= d_k + 1e-12) {
+            h += e->k_ev[i].w;
+            i++;
+        }
+        double span = d_k - t;
+        if (span > 1e-12 && d_k <= window_end + 1e-9)
+            best = py_max(best, h / span);
+    }
+    *out = py_max(e->k_min_speed, py_min(1.0, best));
+    return 0;
+}
+
+/* The bound policy's desired speed for dispatching active[idx]. */
+static int
+ce_native_speed(CoreEngine *e, Py_ssize_t idx, double *out)
+{
+    e->native_decisions++;
+    switch (e->kernel) {
+    case K_LPSEH:
+        *out = kernel_lpseh(e, &e->active[idx]);
+        return 0;
+    case K_FEEDBACK:
+        *out = kernel_feedback(e, &e->active[idx]);
+        return 0;
+    case K_LAEDF:
+        *out = kernel_laedf(e, &e->active[idx]);
+        return 0;
+    default:
+        return kernel_clairvoyant(e, out);
+    }
+}
+
 static int
 ce_complete(CoreEngine *e, Py_ssize_t idx)
 {
@@ -1045,12 +1587,17 @@ ce_complete(CoreEngine *e, Py_ssize_t idx)
     }
     if (status == 0) {
         ce_set_last_running(e, NULL);
-        PyObject *h = PyObject_CallFunctionObjArgs(e->m_on_completion,
-                                                   slot.job, e->ctx, NULL);
-        if (h == NULL)
-            status = -1;
-        else
-            Py_DECREF(h);
+        if (e->kernel == K_FEEDBACK) {
+            kernel_feedback_complete(e, &slot);
+        }
+        else if (e->m_on_completion != Py_None) {  /* None: kernel-owned */
+            PyObject *h = PyObject_CallFunctionObjArgs(
+                e->m_on_completion, slot.job, e->ctx, NULL);
+            if (h == NULL)
+                status = -1;
+            else
+                Py_DECREF(h);
+        }
     }
     Py_DECREF(slot.job);
     return status;
@@ -1090,34 +1637,42 @@ ce_dispatch(CoreEngine *e, Py_ssize_t idx)
         Py_DECREF(t);
     }
     e->dispatches++;
-    PyObject *desired = PyObject_CallFunctionObjArgs(e->m_select_speed,
-                                                     job, e->ctx, NULL);
-    if (desired == NULL)
-        goto done;
-    PyObject *enabled = PyObject_GetAttr(e->telemetry, s_enabled);
-    if (enabled == NULL) {
-        Py_DECREF(desired);
-        goto done;
-    }
-    int tele = PyObject_IsTrue(enabled);
-    Py_DECREF(enabled);
-    if (tele < 0) {
-        Py_DECREF(desired);
-        goto done;
-    }
-    if (tele) {
-        PyObject *r = PyObject_CallFunctionObjArgs(e->m_observe, desired,
-                                                   NULL);
-        if (r == NULL) {
-            Py_DECREF(desired);
+    double d;
+    if (e->kernel != K_PYTHON) {
+        /* kernels run only with telemetry off (no observe hooks) */
+        if (ce_native_speed(e, idx, &d) < 0)
+            goto done;
+        if (isnan(d)) {
+            PyObject *f = PyFloat_FromDouble(d);
+            if (f != NULL) {
+                (void)ce_desired_value(e, f, &d);
+                Py_DECREF(f);
+            }
             goto done;
         }
-        Py_DECREF(r);
+    }
+    else {
+        PyObject *desired = PyObject_CallFunctionObjArgs(
+            e->m_select_speed, job, e->ctx, NULL);
+        if (desired == NULL)
+            goto done;
+        PyObject *enabled = PyObject_GetAttr(e->telemetry, s_enabled);
+        int tele = enabled == NULL ? -1 : PyObject_IsTrue(enabled);
+        Py_XDECREF(enabled);
+        if (tele > 0) {
+            PyObject *r = PyObject_CallFunctionObjArgs(e->m_observe,
+                                                       desired, NULL);
+            if (r == NULL)
+                tele = -1;
+            Py_XDECREF(r);
+        }
+        int rc = tele < 0 ? -1 : ce_desired_value(e, desired, &d);
+        Py_DECREF(desired);
+        if (rc < 0)
+            goto done;
     }
     double speed;
-    int rc = ce_apply_speed(e, desired, &speed);
-    Py_DECREF(desired);
-    if (rc < 0)
+    if (ce_apply_speed(e, d, &speed) < 0)
         goto done;
 
     if (e->now >= e->horizon - K_TIME_EPS) {
@@ -1257,22 +1812,16 @@ ce_flush(CoreEngine *e)
     SETI("transition_faults", e->transition_faults);
 #undef SETF
 #undef SETI
-    /* speed_time: a fresh dict in chronological key-first-seen order;
-     * exact speeds that round to the same key accumulate in place. */
+    /* speed_time: a fresh dict of the key owners, in chronological
+     * key-first-seen order. */
     PyObject *st = PyDict_New();
     if (st == NULL)
         return -1;
     for (Py_ssize_t i = 0; i < e->n_spd; i++) {
+        if (e->spd_slot[i] != i)
+            continue;
         PyObject *key = e->spd_key[i];
-        PyObject *prev = PyDict_GetItemWithError(st, key);
-        if (prev == NULL && PyErr_Occurred()) {
-            Py_DECREF(st);
-            return -1;
-        }
-        double total = e->spd_dur[i];
-        if (prev != NULL)
-            total += PyFloat_AsDouble(prev);
-        PyObject *val = PyFloat_FromDouble(total);
+        PyObject *val = PyFloat_FromDouble(e->spd_dur[i]);
         if (val == NULL || PyDict_SetItem(st, key, val) < 0) {
             Py_XDECREF(val);
             Py_DECREF(st);
@@ -1426,6 +1975,43 @@ CoreEngine_get_release_version(CoreEngine *self, void *Py_UNUSED(closure))
     return PyLong_FromLong(self->release_version);
 }
 
+/* Kernel state written back into the Python policy at run end. */
+static PyObject *
+CoreEngine_get_native_decisions(CoreEngine *self, void *Py_UNUSED(closure))
+{
+    return PyLong_FromLong(self->native_decisions);
+}
+
+static PyObject *
+CoreEngine_get_analysis_calls(CoreEngine *self, void *Py_UNUSED(closure))
+{
+    return PyLong_FromLong(self->analysis_calls);
+}
+
+/* ((prediction, integral, last_error), ...) in task order; () unless
+ * the feedback kernel owns the PID state. */
+static PyObject *
+CoreEngine_get_pid_state(CoreEngine *self, void *Py_UNUSED(closure))
+{
+    if (self->kernel != K_FEEDBACK)
+        return PyTuple_New(0);
+    PyObject *out = PyTuple_New(self->n_tasks);
+    if (out == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < self->n_tasks; i++) {
+        const double *state = &self->pid[PID_N * i];
+        PyObject *row = Py_BuildValue("(ddd)", state[PID_PREDICTION],
+                                      state[PID_INTEGRAL],
+                                      state[PID_LAST_ERROR]);
+        if (row == NULL) {
+            Py_DECREF(out);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(out, i, row);
+    }
+    return out;
+}
+
 #define OBJ_GETTER(field) \
     static PyObject * \
     CoreEngine_get_##field(CoreEngine *self, void *Py_UNUSED(closure)) \
@@ -1463,6 +2049,11 @@ static PyGetSetDef CoreEngine_getset[] = {
      NULL, NULL},
     {"_next_index", (getter)CoreEngine_get_next_index_dict, NULL, NULL,
      NULL},
+    {"_native_decisions", (getter)CoreEngine_get_native_decisions, NULL,
+     NULL, NULL},
+    {"_analysis_calls", (getter)CoreEngine_get_analysis_calls, NULL, NULL,
+     NULL},
+    {"_pid_state", (getter)CoreEngine_get_pid_state, NULL, NULL, NULL},
     {NULL, NULL, NULL, NULL, NULL},
 };
 
@@ -1493,24 +2084,6 @@ static PyTypeObject CoreEngineType = {
 /* ------------------------------------------------------------------ */
 /* slack kernels                                                       */
 /* ------------------------------------------------------------------ */
-
-typedef struct {
-    double d;
-    Py_ssize_t idx;
-    double w;
-} SlackEvent;
-
-static int
-event_cmp(const void *pa, const void *pb)
-{
-    const SlackEvent *a = pa, *b = pb;
-    if (a->d < b->d)
-        return -1;
-    if (a->d > b->d)
-        return 1;
-    /* stable: original construction order breaks ties */
-    return (a->idx < b->idx) ? -1 : (a->idx > b->idx) ? 1 : 0;
-}
 
 /* exact_slack_walk(t, d_first, window_end, active_d, active_w,
  *                  rel, rdl, per, wcet, util, corr) -> float */
@@ -1620,10 +2193,7 @@ cleanup:
 }
 
 /* heuristic_slack_walk(t, d_first, active_d, active_w, rel, util, corr)
- * -> float.  Candidates: active deadlines, d_first, releases >= d_first
- * (duplicates harmless: identical g).  Demand accumulation order is
- * actives in state order, then tasks in task order — matching the
- * interpreted loop bit for bit. */
+ * -> float; see heuristic_walk. */
 static PyObject *
 fastcore_heuristic_slack_walk(PyObject *Py_UNUSED(module), PyObject *args)
 {
@@ -1642,38 +2212,8 @@ fastcore_heuristic_slack_walk(PyObject *Py_UNUSED(module), PyObject *args)
         (util = seq_as_doubles(o_util, &nx)) == NULL ||
         (corr = seq_as_doubles(o_corr, &nx)) == NULL)
         goto cleanup;
-
-    double best = INFINITY;
-    Py_ssize_t n_cand = n_active + 1 + n_tasks;
-    for (Py_ssize_t c = 0; c < n_cand; c++) {
-        double d_k;
-        if (c < n_active)
-            d_k = ad[c];
-        else if (c == n_active)
-            d_k = d_first;
-        else {
-            d_k = rel[c - n_active - 1];
-            if (!(d_k >= d_first))
-                continue;   /* release candidates require >= d_first */
-        }
-        if (d_k < d_first - 1e-12)
-            continue;
-        double cfence = d_k + 1e-12;
-        double total = 0.0;
-        for (Py_ssize_t j = 0; j < n_active; j++) {
-            if (ad[j] <= cfence)
-                total += aw[j];
-        }
-        for (Py_ssize_t j = 0; j < n_tasks; j++) {
-            double headroom = d_k - rel[j];
-            if (headroom > 0.0)
-                total += util[j] * headroom + corr[j];
-        }
-        double g = d_k - t - total;
-        if (g < best)
-            best = g;
-    }
-    out = PyFloat_FromDouble((best > 0.0) ? best : 0.0);
+    out = PyFloat_FromDouble(heuristic_walk(t, d_first, ad, aw, n_active,
+                                            rel, util, corr, n_tasks));
 cleanup:
     PyMem_Free(ad); PyMem_Free(aw); PyMem_Free(rel); PyMem_Free(util);
     PyMem_Free(corr);

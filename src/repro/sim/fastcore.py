@@ -19,6 +19,11 @@ set at install time.  This module is the seam between the two worlds:
   message formats or exception types from the interpreted engine.
 * **Kernels** — :func:`slack_kernels` hands ``repro.analysis.slack``
   the compiled event-walk kernels under the same enable switch.
+* **Decision kernels** — for an exactly-typed clairvoyant, feedback,
+  laEDF or lpSEH policy on a fault-free, periodic, telemetry-off run,
+  :func:`_kernel_fields` passes the policy's bind-time constants and
+  the C core computes ``select_speed`` itself; the state tests read
+  after a run is written back into the policy at run end.
 
 Everything degrades transparently: without the extension every function
 here reports "unavailable" and the interpreted engine runs exactly as
@@ -36,7 +41,12 @@ from repro.cpu.power import PolynomialPowerModel
 from repro.cpu.processor import Processor
 from repro.cpu.speed import ContinuousScale, DiscreteScale
 from repro.cpu.transition import NoOverhead
+from repro.analysis.slack import _flat_tasks
 from repro.errors import DeadlineMissError, PolicyError, SimulationError
+from repro.policies.clairvoyant import ClairvoyantPolicy
+from repro.policies.feedback import FeedbackDvsPolicy
+from repro.policies.laedf import LaEdfPolicy
+from repro.policies.slack_seh import LpSehPolicy
 from repro.sim.results import DeadlineMiss
 from repro.sim.scheduler import EDFScheduler
 from repro.tasks.arrivals import PeriodicArrival
@@ -55,9 +65,11 @@ except ImportError:  # plain install / toolchain-less host
 _FALSY = frozenset({"0", "off", "false", "no"})
 _default_override: bool | None = None
 
-#: Runs taken by each backend since process start (the gate's
-#: engagement probe and ``repro doctor``'s evidence).
-RUN_COUNTS = {"compiled": 0, "interpreted": 0}
+#: Runs taken by each backend, and speed decisions taken by the native
+#: decision kernels, since process start (the gate's engagement probe
+#: and ``repro doctor``'s evidence).  Flat ints only: readers copy the
+#: dict shallowly.
+RUN_COUNTS = {"compiled": 0, "interpreted": 0, "native_decisions": 0}
 
 
 def compiled_available() -> bool:
@@ -109,6 +121,7 @@ def core_info() -> dict:
         "enabled": compiled_enabled(),
         "backend": getattr(_EXT, "BACKEND", None) if _EXT else None,
         "runs": dict(RUN_COUNTS),
+        "native_kernels": NATIVE_KERNELS,
     }
 
 
@@ -216,6 +229,98 @@ def _ineligible_reason(sim: "Simulator") -> str | None:
     return None
 
 
+# ----------------------------------------------------------------------
+# Native decision kernels
+# ----------------------------------------------------------------------
+
+def _scaled_columns(policy, sim: "Simulator") -> dict:
+    """A static-baseline policy's reference base: its baseline speed and
+    the (utilization, correction) columns of its scaled tasks, which
+    ``scale_tasks`` keeps in task-set order."""
+    _names, _rdl, _per, _wcet, util, corr = _flat_tasks(policy._scaled_tasks)
+    return {"k_baseline": policy._baseline_speed, "k_util": util,
+            "k_corr": corr}
+
+
+def _lpseh_write_back(policy, sim, core) -> None:
+    policy._analysis_calls = core._analysis_calls
+
+
+def _feedback_fields(policy, sim):
+    fields = _scaled_columns(policy, sim)
+    fields["k_gains"] = (policy.kp, policy.ki, policy.kd)
+    pid = [policy._pid[task.name] for task in sim.taskset.tasks]
+    fields["k_pid"] = tuple(
+        value for state in pid
+        for value in (state.prediction, state.integral, state.last_error))
+    return fields
+
+
+def _feedback_write_back(policy, sim, core) -> None:
+    for task, row in zip(sim.taskset.tasks, core._pid_state):
+        state = policy._pid[task.name]
+        state.prediction, state.integral, state.last_error = row
+
+
+def _laedf_fields(policy, sim):
+    if not policy.safe:  # the raw published formula stays Python
+        return None
+    return {"k_u_total": sum(task.utilization for task in sim.taskset)}
+
+
+def _clairvoyant_fields(policy, sim):
+    return {"k_cap": policy.window_cap_periods,
+            "k_max_period": policy._max_period}
+
+
+def _no_write_back(policy, sim, core) -> None:
+    pass
+
+
+#: Exact policy type -> (kernel name, bind-time fields, write-back).
+#: The name selects the kernel in ``_fastcore.c``.
+_KERNELS = {
+    ClairvoyantPolicy: ("clairvoyant", _clairvoyant_fields, _no_write_back),
+    FeedbackDvsPolicy: ("feedback", _feedback_fields, _feedback_write_back),
+    LaEdfPolicy: ("laEDF", _laedf_fields, _no_write_back),
+    LpSehPolicy: ("lpSEH", _scaled_columns, _lpseh_write_back),
+}
+
+#: Registry names of the policies the compiled core decides natively.
+NATIVE_KERNELS = tuple(name for name, _, _ in _KERNELS.values())
+
+
+def _kernel_fields(sim: "Simulator") -> dict:
+    """The native decision kernel for *sim*'s bound policy, with its
+    bind-time constants; ``kernel=""`` keeps the Python callback.
+
+    A kernel runs only for its policy's exact type (a subclass or a
+    wrapper such as the safety governor may change any decision) in a
+    configuration it reproduces, and only on runs it can see need no
+    Python hook: no fault plan, periodic arrivals, telemetry off (the
+    ``observe_slack``/``observe_decision`` hooks stay Python).
+    """
+    policy = sim.policy
+    entry = _KERNELS.get(type(policy))
+    if (entry is None or sim.faults is not None
+            or not sim.arrival_model.is_periodic or _TELEMETRY.enabled):
+        return {"kernel": ""}
+    name, configure, _write_back = entry
+    extra = configure(policy, sim)
+    if extra is None:
+        return {"kernel": ""}
+    _names, _rdl, _per, _wcet, util, corr = _flat_tasks(sim.taskset.tasks)
+    fields = {
+        "kernel": name, "k_min_speed": policy.min_speed,
+        "k_baseline": 1.0, "k_util": util, "k_corr": corr,
+        "k_util1": util, "k_corr1": corr, "k_u_total": 0.0,
+        "k_gains": (0.0, 0.0, 0.0), "k_pid": (), "k_cap": 0.0,
+        "k_max_period": 0.0,
+    }
+    fields.update(extra)
+    return fields
+
+
 def _build_namespace(sim: "Simulator") -> SimpleNamespace:
     """Flatten one reset-and-bound Simulator into the C init contract."""
     proc = sim.processor
@@ -237,6 +342,8 @@ def _build_namespace(sim: "Simulator") -> SimpleNamespace:
     rank = {name: i for i, name in enumerate(sorted(names))}
     faults_transitions = (sim.faults is not None
                           and sim.faults.affects_transitions)
+    kernel = _kernel_fields(sim)
+    native = bool(kernel["kernel"])
     return SimpleNamespace(
         # shared objects (the core mutates result/trace/dicts in place)
         taskset=sim.taskset, processor=proc, scheduler=sim.scheduler,
@@ -247,10 +354,10 @@ def _build_namespace(sim: "Simulator") -> SimpleNamespace:
         name2idx={name: i for i, name in enumerate(names)},
         task_stats=tuple(sim._result.task_stats[name] for name in names),
         next_release=sim._next_release, next_index=sim._next_index,
-        # policy / model callbacks
+        # policy / model callbacks (None: owned by the native kernel)
         select_speed=_maybe_profiled(sim.policy.select_speed),
-        on_release=sim.policy.on_release,
-        on_completion=sim.policy.on_completion,
+        on_release=None if native else sim.policy.on_release,
+        on_completion=None if native else sim.policy.on_completion,
         observe=sim.policy.observe_decision,
         plan_idle=(sim.idle_policy.plan_idle
                    if sim.idle_policy is not None else _never),
@@ -291,6 +398,8 @@ def _build_namespace(sim: "Simulator") -> SimpleNamespace:
         name_rank=tuple(rank[name] for name in names),
         release0=tuple(sim._next_release[name] for name in names),
         q_levels=tuple(float(level) for level in q_levels),
+        # native decision kernel ("" = call select_speed)
+        **kernel,
     )
 
 
@@ -329,7 +438,8 @@ def run_compiled(sim: "Simulator") -> bool:
         RUN_COUNTS["interpreted"] += 1
         return False
     from repro.sim.engine import SimContext
-    core = _EXT.CoreEngine(_build_namespace(sim))
+    ns = _build_namespace(sim)
+    core = _EXT.CoreEngine(ns)
     ctx = SimContext(core)
     RUN_COUNTS["compiled"] += 1
     try:
@@ -341,4 +451,7 @@ def run_compiled(sim: "Simulator") -> bool:
         sim._current_speed = core._current_speed
         sim._active = list(core._active)
         sim._release_version = core._release_version
+        if ns.kernel:
+            RUN_COUNTS["native_decisions"] += core._native_decisions
+            _KERNELS[type(sim.policy)][2](sim.policy, sim, core)
     return True

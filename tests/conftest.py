@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +17,7 @@ from repro.cpu.power import PolynomialPowerModel
 from repro.cpu.processor import Processor
 from repro.cpu.profiles import ideal_processor
 from repro.cpu.speed import ContinuousScale
+from repro.sim import fastcore
 from repro.tasks.execution import UniformExecution, WorstCaseExecution
 from repro.tasks.task import PeriodicTask
 from repro.tasks.taskset import TaskSet
@@ -69,3 +78,56 @@ def half_model() -> UniformExecution:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+# ----------------------------------------------------------------------
+# The compiled core, built once per session for `compiled` tests
+# ----------------------------------------------------------------------
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+FASTCORE_MODULE = "repro.sim._fastcore"
+
+
+@pytest.fixture(scope="session")
+def fastcore_extension(tmp_path_factory):
+    """``_fastcore.c`` from this checkout, compiled into a tmp dir.
+
+    Built by the repo's own ``REPRO_COMPILE=1 setup.py build_ext``, so
+    the flags match an installed user's and the source tree is never
+    written to.  Skips (loudly) when no C toolchain can build it.
+    """
+    out = tmp_path_factory.mktemp("fastcore")
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext", "--build-lib", str(out),
+         "--build-temp", str(out / "tmp")],
+        cwd=REPO_ROOT, env={**os.environ, "REPRO_COMPILE": "1"},
+        capture_output=True, text=True, check=False)
+    path = (out / "repro" / "sim"
+            / f"_fastcore{sysconfig.get_config_var('EXT_SUFFIX')}")
+    if proc.returncode != 0 or not path.exists():
+        pytest.skip("COMPILED CORE UNTESTED: building _fastcore.c failed "
+                    "(no working C compiler?):\n"
+                    + (proc.stderr or proc.stdout)[-1500:])
+    loader = importlib.machinery.ExtensionFileLoader(FASTCORE_MODULE,
+                                                     str(path))
+    spec = importlib.util.spec_from_file_location(FASTCORE_MODULE, path,
+                                                  loader=loader)
+    previous = sys.modules.get(FASTCORE_MODULE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # Loading registers the module; keep the process-wide import state
+    # as the install left it, so only `compiled` tests see this build.
+    if previous is None:
+        sys.modules.pop(FASTCORE_MODULE, None)
+    else:
+        sys.modules[FASTCORE_MODULE] = previous
+    return module
+
+
+@pytest.fixture(autouse=True)
+def _compiled_backend(request):
+    """Serve the session build to `compiled`-marker tests only; every
+    other test keeps the backend the install provides."""
+    if request.node.get_closest_marker("compiled") is not None:
+        request.getfixturevalue("monkeypatch").setattr(
+            fastcore, "_EXT", request.getfixturevalue("fastcore_extension"))

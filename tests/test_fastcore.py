@@ -8,30 +8,43 @@ and traces; anything the core cannot reproduce exactly (subclassed
 simulators, non-EDF schedulers) falls through to the interpreted loop;
 and a plain install (no extension, or ``REPRO_COMPILED=0`` /
 ``--no-compiled``) runs exactly as before with zero new dependencies.
-``scripts/compiled_gate.py`` enforces the same contract on whole sweep
-fingerprints in CI.
+The native decision kernels (clairvoyant, feedback, laEDF, lpSEH) are
+held to the same contract, including the policy state tests read
+after a run, and every configuration they do not reproduce must fall
+back to the Python callback.  ``scripts/compiled_gate.py`` enforces
+the same contract on whole sweep fingerprints in CI.
+
+Every test here runs against ``_fastcore.c`` built once per session by
+the ``fastcore_extension`` fixture (``tests/conftest.py``); without a
+C compiler they skip with a loud reason.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cpu.profiles import ideal_processor, xscale_processor
+from repro.cpu.profiles import (generic4_processor, ideal_processor,
+                                xscale_processor)
+from repro.experiments.config import DEFAULT_POLICIES
 from repro.experiments.runner import bcwc_model, standard_taskset
 from repro.faults import FaultPlan
 from repro.faults.plan import OverrunFault, TransitionFault
+from repro.policies.laedf import LaEdfPolicy
 from repro.policies.registry import make_policy
 from repro.sim import fastcore
 from repro.sim.engine import Simulator, simulate
 from repro.sim.scheduler import EDFScheduler
+from repro.tasks.execution import UniformExecution
+from repro.tasks.generators import generate_taskset
+from repro.telemetry import TELEMETRY
+from tests.test_property_engine import workload as engine_workload
 
 pytestmark = pytest.mark.compiled
-
-needs_compiled = pytest.mark.skipif(
-    not fastcore.compiled_available(),
-    reason="compiled core not built (REPRO_COMPILE=1 pip install -e .)")
 
 HORIZON = 400.0
 SEED = 42
@@ -65,10 +78,11 @@ def assert_results_identical(a, b):
 
 
 def _run(policy_name, *, backend, faults=None, governed=False,
-         processor=None, record_trace=False, seed=SEED):
+         processor=None, record_trace=False, seed=SEED, policy=None):
     taskset, model = _workload(seed=seed)
-    policy = make_policy(policy_name, governed=governed,
-                         governor_margin=1.3 if governed else 1.0)
+    if policy is None:
+        policy = make_policy(policy_name, governed=governed,
+                             governor_margin=1.3 if governed else 1.0)
     with fastcore.forced(backend):
         return simulate(taskset, processor or ideal_processor(), policy,
                         model, horizon=HORIZON, faults=faults,
@@ -92,7 +106,6 @@ def test_interpreted_fallback_without_extension(monkeypatch):
     assert fastcore.RUN_COUNTS["interpreted"] == before + 1
 
 
-@needs_compiled
 def test_env_override_disables_compiled(monkeypatch):
     monkeypatch.setenv("REPRO_COMPILED", "0")
     assert not fastcore.compiled_enabled()
@@ -106,7 +119,6 @@ def test_env_override_disables_compiled(monkeypatch):
     assert fastcore.compiled_enabled()
 
 
-@needs_compiled
 def test_forced_override_beats_env(monkeypatch):
     monkeypatch.setenv("REPRO_COMPILED", "0")
     with fastcore.forced(True):
@@ -116,7 +128,6 @@ def test_forced_override_beats_env(monkeypatch):
     assert not fastcore.compiled_enabled()
 
 
-@needs_compiled
 def test_compiled_core_engages():
     before = fastcore.RUN_COUNTS["compiled"]
     result = _run("lpSEH", backend=True)
@@ -124,7 +135,6 @@ def test_compiled_core_engages():
     assert fastcore.RUN_COUNTS["compiled"] == before + 1
 
 
-@needs_compiled
 def test_subclassed_simulator_stays_interpreted():
     """Exact-type eligibility: a subclass may override anything the C
     core inlines, so it must never be routed to the compiled loop."""
@@ -145,8 +155,14 @@ def test_subclassed_simulator_stays_interpreted():
 
 def test_core_info_shape():
     info = fastcore.core_info()
-    assert set(info) == {"available", "enabled", "backend", "runs"}
-    assert set(info["runs"]) == {"compiled", "interpreted"}
+    assert set(info) == {"available", "enabled", "backend", "runs",
+                         "native_kernels"}
+    assert set(info["runs"]) == {"compiled", "interpreted",
+                                 "native_decisions"}
+    # Flat ints: external readers copy RUN_COUNTS shallowly.
+    assert all(type(v) is int for v in info["runs"].values())
+    assert info["native_kernels"] == ("clairvoyant", "feedback", "laEDF",
+                                      "lpSEH")
     if info["available"]:
         assert info["backend"] == "c-extension"
 
@@ -155,16 +171,131 @@ def test_core_info_shape():
 # Byte identity: compiled == interpreted
 # ----------------------------------------------------------------------
 
-@needs_compiled
-@pytest.mark.parametrize("policy", ["none", "static", "ccEDF",
-                                    "lpSTA", "lpSEH"])
+@pytest.mark.parametrize("policy", DEFAULT_POLICIES)
 def test_results_identical_plain(policy):
     interpreted = _run(policy, backend=False)
     compiled = _run(policy, backend=True)
     assert_results_identical(interpreted, compiled)
 
 
-@needs_compiled
+# ----------------------------------------------------------------------
+# Native decision kernels
+# ----------------------------------------------------------------------
+
+def assert_policy_state_identical(a, b):
+    """The post-run policy state tests read: the feedback predictor
+    and lpSEH's analysis count."""
+    assert type(a) is type(b)
+    if a.name == "feedback":
+        for task in a.taskset:
+            assert a.prediction(task.name) == b.prediction(task.name)
+            assert a._pid[task.name] == b._pid[task.name]
+    if a.name == "lpSEH":
+        assert a.analysis_calls == b.analysis_calls
+
+
+def _native_delta(fn):
+    before = fastcore.RUN_COUNTS["native_decisions"]
+    out = fn()
+    return out, fastcore.RUN_COUNTS["native_decisions"] - before
+
+
+@pytest.mark.parametrize("processor", [generic4_processor, xscale_processor,
+                                       ideal_processor])
+@pytest.mark.parametrize("name", fastcore.NATIVE_KERNELS)
+def test_kernel_results_identical(name, processor):
+    """Each kernel policy, on continuous and discrete-level parts, with
+    the trace recorded: same result, same post-run policy state, and
+    every decision taken natively."""
+    p_i, p_c = make_policy(name), make_policy(name)
+    interpreted = _run(name, backend=False, policy=p_i,
+                       processor=processor(), record_trace=True)
+    compiled, native = _native_delta(lambda: _run(
+        name, backend=True, policy=p_c, processor=processor(),
+        record_trace=True))
+    assert_results_identical(interpreted, compiled)
+    assert_policy_state_identical(p_i, p_c)
+    assert native == compiled.dispatches > 0
+
+
+kernel_workload = st.tuples(engine_workload,
+                            st.sampled_from(fastcore.NATIVE_KERNELS),
+                            st.booleans(), st.booleans())
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=kernel_workload)
+def test_kernels_match_interpreted_property(case):
+    """Generated task sets x kernel policies x {continuous, discrete}:
+    compiled results (and traces) equal the interpreted ones bitwise."""
+    params, name, discrete, record_trace = case
+    taskset = generate_taskset(params["n"], params["u"],
+                               np.random.default_rng(params["seed"]))
+    horizon = min(taskset.default_horizon(min_jobs_per_task=5), 1500.0)
+
+    def run(backend):
+        policy = make_policy(name)
+        model = UniformExecution(low=params["low"], high=1.0,
+                                 seed=params["seed"])
+        processor = generic4_processor() if discrete else ideal_processor()
+        with fastcore.forced(backend):
+            return simulate(taskset, processor, policy, model,
+                            horizon=horizon,
+                            record_trace=record_trace), policy
+
+    interpreted, p_i = run(False)
+    (compiled, p_c), native = _native_delta(lambda: run(True))
+    assert_results_identical(interpreted, compiled)
+    assert_policy_state_identical(p_i, p_c)
+    assert native == compiled.dispatches
+
+
+@pytest.mark.parametrize("make, processor, faults", [
+    (lambda: LaEdfPolicy(safe=False), ideal_processor, None),
+    (lambda: make_policy("feedback", governed=True, governor_margin=1.3),
+     ideal_processor, None),
+    (lambda: make_policy("lpSEH", overhead_aware=True), xscale_processor,
+     None),
+    (lambda: make_policy("clairvoyant"), ideal_processor, _fault_plan),
+], ids=["laEDF-raw", "governed", "overhead-aware", "faults"])
+def test_kernel_fallbacks_identical(make, processor, faults):
+    """Configurations the kernels do not reproduce take the Python
+    callback (no native decision) and stay byte-identical."""
+
+    def run(backend):
+        return _run(None, backend=backend, policy=make(),
+                    processor=processor(), record_trace=True,
+                    faults=faults() if faults else None)
+
+    interpreted = run(False)
+    compiled, native = _native_delta(lambda: run(True))
+    assert native == 0
+    assert_results_identical(interpreted, compiled)
+
+
+def test_kernel_fallback_with_telemetry(monkeypatch):
+    """Telemetry-on runs need the observe hooks, so they stay Python:
+    same results and the same recorded decisions and slack estimates."""
+    monkeypatch.setattr(TELEMETRY, "enabled", True)
+
+    def run(backend):
+        before = TELEMETRY.snapshot()
+        result = _run("lpSEH", backend=backend)
+        delta = TELEMETRY.delta_since(before)
+        # Histogram totals are float differences of running sums, so
+        # compare the exact parts: counters, counts and buckets.
+        return result, (delta["counters"],
+                        {name: (h["count"], h["buckets"])
+                         for name, h in delta["histograms"].items()})
+
+    interpreted, tele_i = run(False)
+    (compiled, tele_c), native = _native_delta(lambda: run(True))
+    assert native == 0
+    assert_results_identical(interpreted, compiled)
+    assert tele_i == tele_c
+    assert tele_c[1]["policy.lpSEH.slack"][0] > 0
+
+
 def test_results_identical_faults_governor_trace():
     """The acceptance cell: seeded faults + safety governor + trace."""
     kwargs = dict(faults=_fault_plan(), governed=True, record_trace=True)
@@ -174,7 +305,6 @@ def test_results_identical_faults_governor_trace():
     assert_results_identical(interpreted, compiled)
 
 
-@needs_compiled
 def test_results_identical_discrete_scale_with_overhead():
     """Quantized speed levels + transition overhead (xscale profile)."""
     interpreted = _run("ccEDF", backend=False,
@@ -184,7 +314,6 @@ def test_results_identical_discrete_scale_with_overhead():
     assert_results_identical(interpreted, compiled)
 
 
-@needs_compiled
 def test_slack_kernels_identical():
     from repro.analysis.slack import (ActiveJob, SystemState, exact_slack,
                                       heuristic_slack, scale_tasks)
@@ -225,11 +354,12 @@ def test_doctor_reports_backends(capsys):
     assert "default workers:" in out
     if fastcore.compiled_available():
         assert "c-extension" in out
+        assert "native decision kernels: clairvoyant, feedback, laEDF, " \
+            "lpSEH" in out
     else:
         assert "not built" in out
 
 
-@needs_compiled
 def test_simulate_no_compiled_flag(capsys):
     from repro.cli import main
     before = fastcore.RUN_COUNTS["compiled"]
